@@ -10,7 +10,7 @@ import (
 // checker verifies responses against one model state.
 type checker struct {
 	m    *model
-	seen map[string]bool // witnesses already verified, by request and content
+	seen map[string]bool // witnesses already verified, by request fields and content
 }
 
 func newChecker(m *model) *checker { return &checker{m: m, seen: map[string]bool{}} }
@@ -34,8 +34,10 @@ func (ck *checker) verdict(q request, resp api.QueryResponse, want bool, vs []ma
 	case w == nil:
 		return ""
 	}
+	// The key holds everything the witness is checked against: the
+	// endpoints, L and the constraint texts, which fix V(S,G).
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s|%s|%v|", q.wire.Source, q.wire.Target, q.wire.Labels)
+	fmt.Fprintf(&b, "%s|%s|%v|%q|%q|", q.wire.Source, q.wire.Target, q.wire.Labels, q.wire.Constraint, q.wire.Constraints)
 	ww := witness{satisfiedBy: w.SatisfiedBy}
 	for _, h := range w.Hops {
 		ww.hops = append(ww.hops, [3]string{h.From, h.Label, h.To})

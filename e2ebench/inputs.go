@@ -181,6 +181,12 @@ type genConfig struct {
 	// projected-variable name of its own), so the text-keyed constraint
 	// cache cannot serve repeats.
 	distinctTexts bool
+	// falseEvery, when above 1, keeps the false request of only every
+	// falseEvery-th pair, so true requests outnumber false ones
+	// falseEvery to 1 and the median latency lies inside the true
+	// requests' range rather than on the gap between the cheap true and
+	// the exhaustive false ones.
+	falseEvery int
 }
 
 // genRequests draws requests the way §6.1.1 of the paper does: the
@@ -188,17 +194,18 @@ type genConfig struct {
 // label universe, a uniform random source whose L-closure is not
 // trivially small, and a target outside the first log|V| BFS expansions
 // from the source. Requests come in pairs sharing source, labels and
-// constraints, one true and one false, so the shares are exactly equal;
-// the oracle decides the answers as it draws. Each pair has its own
-// random stream, so the pairs can be drawn in parallel and the result
-// depends only on seed.
+// constraints, one true and one false, so the shares are exactly equal
+// unless cfg.falseEvery thins out the false ones; the oracle decides the
+// answers as it draws. Each pair has its own random stream, so the pairs
+// can be drawn in parallel and the result depends only on seed.
 func genRequests(seed int64, m *model, cs []*constraint, cfg genConfig) ([]request, error) {
 	byTmpl := make([][]*constraint, len(templates))
 	for _, c := range cs {
 		byTmpl[c.tmpl] = append(byTmpl[c.tmpl], c)
 	}
-	pairs := (cfg.n + 1) / 2
-	out := make([]request, 2*pairs)
+	every := max(cfg.falseEvery, 1)
+	pairs := (cfg.n*every + every) / (every + 1)
+	drawn := make([]request, 2*pairs)
 	workers := runtime.GOMAXPROCS(0)
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
@@ -214,13 +221,23 @@ func genRequests(seed int64, m *model, cs []*constraint, cfg genConfig) ([]reque
 					errs[w] = fmt.Errorf("request pair %d: %v", p, err)
 					return
 				}
-				out[2*p], out[2*p+1] = pair[0], pair[1]
+				drawn[2*p], drawn[2*p+1] = pair[0], pair[1]
 			}
 		}(w)
 	}
 	wg.Wait()
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
+	}
+	var out []request
+	for p := 0; p < pairs; p++ {
+		out = append(out, drawn[2*p])
+		if p%every == 0 {
+			out = append(out, drawn[2*p+1])
+		}
+	}
+	if len(out) < cfg.n {
+		return nil, fmt.Errorf("drew %d requests, want %d", len(out), cfg.n)
 	}
 	out = out[:cfg.n]
 	for i := range out {

@@ -33,12 +33,13 @@ type spec struct {
 	requests     int  // generated request set size
 	varied       bool // Table 3 templates with varied constants, one text per request
 	write        bool // persistent store plus an open-loop /v1/mutate writer
+	falseEvery   int  // genConfig.falseEvery
 }
 
 var specs = []spec{
 	{name: "d1-serve", universities: 1, readers: 2, setupReps: 15, requests: 3000},
 	{name: "lubm-large-search", universities: 20, readers: 2, setupReps: 5, requests: 2000, varied: true},
-	{name: "lubm-write-mix", universities: 2, readers: 1, setupReps: 15, requests: 1500, write: true},
+	{name: "lubm-write-mix", universities: 2, readers: 1, setupReps: 15, requests: 4500, write: true, falseEvery: 4},
 }
 
 // metric is one reported figure.

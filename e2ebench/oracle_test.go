@@ -225,22 +225,42 @@ func TestVerdictRejectsWrongAnswers(t *testing.T) {
 			t.Errorf("%s: accepted", name)
 		}
 	}
+	// A request with the same s, t and L but another constraint, whose
+	// V(S,G) holds only t, gets the walk already accepted above; y
+	// satisfies nothing here, so the witness must not pass on the
+	// strength of the earlier check.
+	tv := ids(t, m, "t")[0]
+	c2 := &constraint{vs: []int32{tv}, vsSet: map[int32]bool{tv: true}}
+	q2 := request{cons: []*constraint{c2}, wire: q.wire}
+	q2.wire.Constraint = "another constraint text"
+	if why := ck.verdict(q2, ok, true, q2.vsets()); why == "" {
+		t.Errorf("witness accepted for another constraint whose V(S,G) does not hold its satisfying vertex")
+	}
 }
 
 // TestBenchmarkJSON checks that BENCHMARK.json registers exactly the
-// metrics the program reports: the end-to-end ones every untraced run
-// sets and the traced run's per-layer list.
+// workloads the program runs and the metrics it reports: the end-to-end
+// ones every untraced run sets and the traced run's per-layer list.
 func TestBenchmarkJSON(t *testing.T) {
 	b, err := os.ReadFile("../BENCHMARK.json")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var bench struct {
-		EndToEnd []struct{ Name, Unit string } `json:"end_to_end"`
-		PerLayer []struct{ Name, Unit string } `json:"per_layer"`
+		Workloads []struct{ Name string }       `json:"workloads"`
+		EndToEnd  []struct{ Name, Unit string } `json:"end_to_end"`
+		PerLayer  []struct{ Name, Unit string } `json:"per_layer"`
 	}
 	if err := json.Unmarshal(b, &bench); err != nil {
 		t.Fatal(err)
+	}
+	if len(bench.Workloads) != len(specs) {
+		t.Errorf("BENCHMARK.json has %d workloads, the program runs %d", len(bench.Workloads), len(specs))
+	}
+	for i, w := range bench.Workloads {
+		if i < len(specs) && w.Name != specs[i].name {
+			t.Errorf("workload %d: BENCHMARK.json %s, program %s", i, w.Name, specs[i].name)
+		}
 	}
 	e2e := map[string]string{"setup_s": "s", "query_qps": "1/s", "query_p50_ms": "ms", "query_p99_ms": "ms", "heap_mb": "MB"}
 	if len(bench.EndToEnd) != len(e2e) {

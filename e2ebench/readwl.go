@@ -173,8 +173,9 @@ const nSlices = 10
 
 // queryMetrics reports the closed-loop figures of a window that started
 // at start and lasted window. query_p99_ms is the median of the p99s of
-// equal groups of slices, with as many groups (at most nSlices) as leave
-// each group about 1200 samples, so at least ten lie beyond its p99.
+// equal groups of slices, with as many groups (1, 2, 5 or nSlices) as
+// leave each group at least about 1200 samples, so at least ten lie
+// beyond its p99.
 func (r *run) queryMetrics(all []sample, start time.Time, window time.Duration) {
 	part := window / nSlices
 	per := make([][]float64, nSlices)
@@ -187,12 +188,30 @@ func (r *run) queryMetrics(all []sample, start time.Time, window time.Duration) 
 		per[i] = append(per[i], ms(s.latency()))
 		lat = append(lat, ms(s.latency()))
 	}
+	var byAnswer [2][]float64 // latencies of false and true answers
+	for _, s := range all {
+		if s.err == nil && s.resp.Reachable {
+			byAnswer[1] = append(byAnswer[1], ms(s.latency()))
+		} else if s.err == nil {
+			byAnswer[0] = append(byAnswer[0], ms(s.latency()))
+		}
+	}
+	for i, name := range []string{"false", "true"} {
+		xs := byAnswer[i]
+		r.note("queries answered %-5s %5d, latency p10/p25/p50/p75/p90 %.4g %.4g %.4g %.4g %.4g ms", name, len(xs),
+			quantile(xs, 0.1), quantile(xs, 0.25), quantile(xs, 0.5), quantile(xs, 0.75), quantile(xs, 0.9))
+	}
 	var qps, p50s, p99s []float64
 	for _, xs := range per {
 		qps = append(qps, float64(len(xs))/part.Seconds())
 		p50s = append(p50s, quantile(xs, 0.5))
 	}
-	groups := min(max(len(lat)/1200, 1), nSlices)
+	groups := 1
+	for _, g := range []int{2, 5, nSlices} { // divisors of nSlices, so groups are equal
+		if len(lat)/g >= 1200 {
+			groups = g
+		}
+	}
 	minBeyond := len(lat)
 	for g := 0; g < groups; g++ {
 		var xs []float64

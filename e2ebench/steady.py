@@ -3,11 +3,18 @@
 
 Runs every workload k times with consecutive seeds and prints, for every
 end-to-end metric, the median and the quartile spread (Q3 - Q1) / median,
-with Q1 and Q3 from statistics.quantiles(values, n=4). With --compare it
-also checks each median against an earlier set's output.
+with Q1 and Q3 from statistics.quantiles(values, n=4). With --same-seed
+every run uses --seed itself, which measures run-to-run noise alone; with
+consecutive seeds the spread also holds the differences between inputs.
+With --compare it also checks each median against an earlier set's
+output. It exits 1 when a run is incorrect, a spread exceeds its bound
+or a median is worse than the earlier set's by more than the bound.
+setup_s is gated like every other metric here, although a spread of
+set-up time alone does not make a set of runs fail elsewhere.
 
     python3 e2ebench/steady.py -k 10 --seed 1 --out set1.json
     python3 e2ebench/steady.py -k 10 --seed 101 --compare set1.json
+    python3 e2ebench/steady.py -k 5 --seed 1 --same-seed --workloads lubm-write-mix
 
 Run it from the repository root.
 """
@@ -35,6 +42,7 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("-k", type=int, default=10, help="runs per workload")
     ap.add_argument("--seed", type=int, default=1, help="first seed; run i uses seed+i")
+    ap.add_argument("--same-seed", action="store_true", help="every run uses --seed")
     ap.add_argument("--workloads", default="", help="comma-separated subset")
     ap.add_argument("--out", help="write the raw values here as JSON")
     ap.add_argument("--compare", help="an earlier --out file to compare medians against")
@@ -52,16 +60,17 @@ def main():
     for w in workloads:
         values[w] = {name: [] for name in metrics}
         shares, took = [], []
-        for i in range(args.k):
-            res, secs = run_once(w, args.seed + i, bench["run_seconds"])
+        seeds = [args.seed + (0 if args.same_seed else i) for i in range(args.k)]
+        for seed in seeds:
+            res, secs = run_once(w, seed, bench["run_seconds"])
             took.append(secs)
             if not res["correct"]:
                 ok = False
-                print(f"{w} seed {args.seed + i}: correct is false")
+                print(f"{w} seed {seed}: correct is false")
             shares.append(res["failed"] / res["attempted"])
             for name in metrics:
                 values[w][name].append(res["metrics"][name]["value"])
-        print(f"\n{w}: {args.k} runs, seeds {args.seed}..{args.seed + args.k - 1}, "
+        print(f"\n{w}: {args.k} runs, seeds {seeds[0]}..{seeds[-1]}, "
               f"{statistics.median(took):.1f} s per run, failed share {sorted(set(shares))}")
         print(f"  {'metric':<16}{'median':>14}{'Q1':>14}{'Q3':>14}{'spread':>9}{'bound':>7}  verdict")
         for name, m in metrics.items():
@@ -70,9 +79,7 @@ def main():
             med = statistics.median(xs)
             spread = (q3 - q1) / med
             verdict = "ok" if spread < m["bound"] / 3 else ("within bound" if spread <= m["bound"] else "TOO WIDE")
-            if name == "setup_s":
-                verdict += " (spread not gated)"
-            elif spread > m["bound"]:
+            if spread > m["bound"]:
                 ok = False
             line = f"  {name:<16}{med:>14.6g}{q1:>14.6g}{q3:>14.6g}{spread:>9.4f}{m['bound']:>7}  {verdict}"
             if earlier and w in earlier:

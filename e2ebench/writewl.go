@@ -24,10 +24,13 @@ import (
 
 // Write-mix shape (see README.md, "Inputs").
 const (
-	batchOps   = 128 // edge operations per /v1/mutate batch
-	batchRate  = 10  // batches per second, open loop
-	tailBatchN = 12  // batches left in the WAL tail before set-up
+	batchOps   = 64 // edge operations per /v1/mutate batch
+	batchRate  = 10 // batches per second, open loop
+	tailBatchN = 12 // batches left in the WAL tail before set-up
 	addShare   = 2.0 / 3
+	// pinnedVS: edges out of the vertices of a V(S,G) this small are
+	// never deleted (see genBatches).
+	pinnedVS = 64
 )
 
 // genBatches draws n mutation batches against the model's current
@@ -35,14 +38,19 @@ const (
 // ones. An added edge copies the label of a present edge and takes its
 // object from another present edge with that label, so it stays within
 // LUBM's vocabulary. RDFS vocabulary edges (rdf:type and the like) are
-// never touched. The model itself is not changed.
-func genBatches(rng *rand.Rand, m *model, n int) [][]api.Mutation {
+// never touched, and edges out of the vertices in pinned are only ever
+// copied, never deleted: these are the satisfying vertices of the
+// constraints whose V(S,G) is a few dozen vertices or fewer (S5 has
+// one), which random deletes would otherwise empty on some seeds and not
+// on others, turning a fifth of the requests into instant false answers
+// partway through the run. The model itself is not changed.
+func genBatches(rng *rand.Rand, m *model, pinned map[int32]bool, n int) [][]api.Mutation {
 	count := make(map[edgeKey]int32, len(m.count))
 	var pool []edgeKey
 	byLabel := map[uint8][]edgeKey{}
 	for _, k := range m.keys() {
-		_, l, _ := k.parts()
-		if strings.HasPrefix(m.L.name[l], "rdf") {
+		s, l, _ := k.parts()
+		if strings.HasPrefix(m.L.name[l], "rdf") || pinned[s] {
 			continue
 		}
 		count[k] = m.count[k]
@@ -312,7 +320,16 @@ func (r *run) makeWriteInputs() (*writeInputs, *model, error) {
 		return nil, nil, err
 	}
 	n := int(r.seconds*batchRate + 0.5)
-	all := genBatches(r.rng, m, tailBatchN+n)
+	pinned := map[int32]bool{}
+	for _, c := range in.cons {
+		if len(c.vs) <= pinnedVS {
+			for _, v := range c.vs {
+				pinned[v] = true
+			}
+		}
+	}
+	r.note("writes: edges out of %d satisfying vertices of constraints with |V(S,G)| <= %d are never deleted", len(pinned), pinnedVS)
+	all := genBatches(r.rng, m, pinned, tailBatchN+n)
 	wi := &writeInputs{graphInputs: in, tail: all[:tailBatchN], batches: all[tailBatchN:]}
 	if err := r.makeStore(in, wi.tail); err != nil {
 		return nil, nil, err
@@ -331,7 +348,7 @@ func (r *run) tailState(wi *writeInputs, m *model) ([]request, error) {
 	if err != nil {
 		return nil, err
 	}
-	reqs, err := genRequests(r.seed, m, cs, genConfig{n: r.spec.requests})
+	reqs, err := genRequests(r.seed, m, cs, genConfig{n: r.spec.requests, falseEvery: r.spec.falseEvery})
 	if err != nil {
 		return nil, err
 	}
